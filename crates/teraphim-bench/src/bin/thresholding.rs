@@ -70,7 +70,9 @@ fn main() {
         .map(|q| {
             let pairs = col.analyze_query(&q.text);
             let w = local_weights(col.index(), &pairs);
-            rank_limited(col.index(), &w, depth, usize::MAX, LimitMode::Continue).postings_processed
+            rank_limited(col.index(), &w, depth, usize::MAX, LimitMode::Continue)
+                .expect("in-memory index is well-formed")
+                .postings_processed
         })
         .sum();
 
@@ -96,7 +98,8 @@ fn main() {
             let set = effectiveness(&corpus, &col, &judgments, |c, q| {
                 let pairs = c.analyze_query(q);
                 let w = local_weights(c.index(), &pairs);
-                let limited = rank_limited(c.index(), &w, depth, budget, mode);
+                let limited = rank_limited(c.index(), &w, depth, budget, mode)
+                    .expect("in-memory index is well-formed");
                 postings += limited.postings_processed;
                 limited.hits
             });

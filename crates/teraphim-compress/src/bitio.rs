@@ -112,6 +112,13 @@ impl BitWriter {
 
 /// A bit-granular cursor over a byte slice, MSB-first.
 ///
+/// Reads go a word at a time: a *window* holds the 64 bits at the cursor
+/// as one big-endian word, so a whole codeword is read with a shift (or a
+/// `leading_zeros`) instead of one call per bit. A window starting at an
+/// unaligned cursor holds at least 57 valid bits (64 minus up to 7 already
+/// consumed from its first byte) unless it reaches the end of the buffer;
+/// codes wider than the window are read in two steps.
+///
 /// # Examples
 ///
 /// ```
@@ -166,6 +173,36 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// The bits at the cursor, left-aligned in a word, and how many of
+    /// them are valid: `min(64 - pos % 8, remaining_bits())`, so at least
+    /// 57 unless the window reaches the end of the buffer. Bits past the
+    /// valid ones are zero. The cursor does not move.
+    #[inline]
+    pub(crate) fn window(&self) -> (u64, u32) {
+        let byte = (self.pos / 8) as usize;
+        let shift = (self.pos % 8) as u32;
+        match self.bytes.get(byte..byte + 8) {
+            Some(word) => {
+                let word = u64::from_be_bytes(word.try_into().expect("8 bytes"));
+                (word << shift, 64 - shift)
+            }
+            None => {
+                let tail = self.bytes.get(byte..).unwrap_or_default();
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                let valid = (tail.len() as u32 * 8).saturating_sub(shift);
+                (u64::from_be_bytes(word) << shift, valid)
+            }
+        }
+    }
+
+    /// Moves the cursor `bits` forward; the caller has checked that the
+    /// bits were valid in [`BitReader::window`].
+    #[inline]
+    pub(crate) fn advance(&mut self, bits: u32) {
+        self.pos += u64::from(bits);
+    }
+
     /// Reads one bit.
     ///
     /// # Errors
@@ -186,21 +223,30 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`CodeError::UnexpectedEof`] if fewer than `count` bits
-    /// remain.
+    /// remain; the cursor does not move.
     ///
     /// # Panics
     ///
     /// Panics if `count > 64`.
+    #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u64> {
         assert!(count <= 64, "cannot read more than 64 bits at once");
         if self.remaining_bits() < u64::from(count) {
             return Err(CodeError::UnexpectedEof);
         }
-        let mut value = 0u64;
-        for _ in 0..count {
-            value = (value << 1) | u64::from(self.read_bit()?);
+        if count == 0 {
+            return Ok(0);
         }
-        Ok(value)
+        let (word, valid) = self.window();
+        if count <= valid {
+            self.advance(count);
+            return Ok(word >> (64 - count));
+        }
+        // Only a full window (>= 57 valid bits) can be too narrow, so
+        // `count` is 58..=64 here and both halves fit a fresh window.
+        let high = self.read_bits(count - 32)?;
+        let low = self.read_bits(32)?;
+        Ok((high << 32) | low)
     }
 
     /// Skips forward to the next byte boundary (no-op if already aligned).

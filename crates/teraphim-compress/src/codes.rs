@@ -39,18 +39,27 @@ pub fn write_unary(w: &mut BitWriter, n: u64) {
 
 /// Reads a unary codeword written by [`write_unary`].
 ///
+/// The run of zeros is counted a window at a time with `leading_zeros`.
+///
 /// # Errors
 ///
-/// Returns [`CodeError::UnexpectedEof`] on a truncated stream.
+/// Returns [`CodeError::UnexpectedEof`] on a truncated stream, with the
+/// cursor at the end of the buffer.
 pub fn read_unary(r: &mut BitReader<'_>) -> Result<u64> {
     let mut n = 1u64;
-    while !r.read_bit()? {
-        n += 1;
-        if n == u64::MAX {
-            return Err(CodeError::Corrupt("unary run too long"));
+    loop {
+        let (word, valid) = r.window();
+        let zeros = word.leading_zeros();
+        if zeros < valid {
+            r.advance(zeros + 1);
+            return Ok(n + u64::from(zeros));
         }
+        if valid == 0 {
+            return Err(CodeError::UnexpectedEof);
+        }
+        r.advance(valid);
+        n += u64::from(valid);
     }
-    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -80,11 +89,23 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) {
 
 /// Reads an Elias γ codeword written by [`write_gamma`].
 ///
+/// A codeword of `2z + 1` bits whose `z` leading zeros and value both sit
+/// inside one window (every value below 2^28) is read with one
+/// `leading_zeros` and one shift: the window's top `2z + 1` bits *are*
+/// the value, its leading one being the unary terminator.
+///
 /// # Errors
 ///
 /// Returns [`CodeError::UnexpectedEof`] on truncation and
 /// [`CodeError::Corrupt`] if the decoded width exceeds 64 bits.
+#[inline]
 pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    let (word, valid) = r.window();
+    let len = 2 * word.leading_zeros() + 1;
+    if len <= valid {
+        r.advance(len);
+        return Ok(word >> (64 - len));
+    }
     let width = read_unary(r)?;
     if width > 64 {
         return Err(CodeError::Corrupt("gamma width exceeds 64 bits"));

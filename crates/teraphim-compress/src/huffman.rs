@@ -51,6 +51,10 @@ pub struct HuffmanCode {
     /// that length's run begins.
     first_code: Vec<u64>,
     first_index: Vec<usize>,
+    /// Number of codewords of each length, indexed by (length - 1).
+    counts: Vec<u64>,
+    /// Shortest codeword length (0 for an empty code).
+    min_len: u8,
     /// Symbols sorted by (length, symbol) — canonical order.
     sorted_symbols: Vec<u32>,
     max_len: u8,
@@ -99,6 +103,14 @@ impl HuffmanCode {
             index += count[len] as usize;
         }
 
+        let counts = count[1..].to_vec();
+        let min_len = lengths
+            .iter()
+            .copied()
+            .filter(|&l| l > 0)
+            .min()
+            .unwrap_or(0);
+
         let mut codewords = vec![0u64; lengths.len()];
         let mut next_code = first_code.clone();
         for &sym in &sorted_symbols {
@@ -112,6 +124,8 @@ impl HuffmanCode {
             codewords,
             first_code,
             first_index,
+            counts,
+            min_len,
             sorted_symbols,
             max_len,
         }
@@ -147,6 +161,11 @@ impl HuffmanCode {
 
     /// Decodes one symbol from `r`.
     ///
+    /// Peeks one window and tries each codeword length against its top
+    /// bits, advancing by the matched length. A code longer than the
+    /// window's valid bits continues bit by bit past the window, which
+    /// also reports truncation at the exact bit where the buffer ends.
+    ///
     /// # Errors
     ///
     /// Returns [`CodeError::UnexpectedEof`] on truncation and
@@ -155,26 +174,33 @@ impl HuffmanCode {
         if self.max_len == 0 {
             return Err(CodeError::Corrupt("empty huffman code"));
         }
-        let mut code = 0u64;
-        for len in 1..=self.max_len {
+        let max_len = u32::from(self.max_len);
+        let (word, valid) = r.window();
+        let span = max_len.min(valid);
+        for len in u32::from(self.min_len)..=span {
+            if let Some(symbol) = self.symbol(len, word >> (64 - len)) {
+                r.advance(len);
+                return Ok(symbol);
+            }
+        }
+        r.advance(span);
+        let mut code = word.checked_shr(64 - span).unwrap_or(0);
+        for len in span + 1..=max_len {
             code = (code << 1) | u64::from(r.read_bit()?);
-            let li = (len - 1) as usize;
-            // Determine how many codewords of this exact length exist.
-            let run_end = if len == self.max_len {
-                self.sorted_symbols.len()
-            } else {
-                self.first_index[len as usize]
-            };
-            let run_start = self.first_index[li];
-            let count = run_end - run_start;
-            if count > 0 {
-                let first = self.first_code[li];
-                if code >= first && code - first < count as u64 {
-                    return Ok(self.sorted_symbols[run_start + (code - first) as usize]);
-                }
+            if let Some(symbol) = self.symbol(len, code) {
+                return Ok(symbol);
             }
         }
         Err(CodeError::Corrupt("bits match no huffman codeword"))
+    }
+
+    /// The symbol whose codeword is the `len`-bit value `code`, if any.
+    #[inline]
+    fn symbol(&self, len: u32, code: u64) -> Option<u32> {
+        let li = len as usize - 1;
+        let offset = code.checked_sub(self.first_code[li])?;
+        (offset < self.counts[li])
+            .then(|| self.sorted_symbols[self.first_index[li] + offset as usize])
     }
 
     /// Total compressed size, in bits, of a message with the given symbol

@@ -49,6 +49,9 @@ pub mod codes;
 pub mod huffman;
 pub mod textcomp;
 
+#[cfg(test)]
+mod differential;
+
 use std::error::Error;
 use std::fmt;
 

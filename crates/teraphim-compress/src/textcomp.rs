@@ -116,17 +116,22 @@ impl ClassModel {
         }
     }
 
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<String> {
+    /// Decodes one token and appends it to `out`.
+    fn decode_into(&self, r: &mut BitReader<'_>, out: &mut String) -> Result<()> {
         let sym = self.code.decode(r)?;
         if sym != ESCAPE {
-            return Ok(self.tokens[sym as usize].clone());
+            out.push_str(&self.tokens[sym as usize]);
+            return Ok(());
         }
         let len = read_gamma0(r)? as usize;
-        let mut bytes = Vec::with_capacity(len);
+        let mut bytes = Vec::with_capacity(len.min(r.remaining_bits() as usize / 8));
         for _ in 0..len {
             bytes.push(r.read_bits(8)? as u8);
         }
-        String::from_utf8(bytes).map_err(|_| CodeError::Corrupt("escaped token is not UTF-8"))
+        let token = std::str::from_utf8(&bytes)
+            .map_err(|_| CodeError::Corrupt("escaped token is not UTF-8"))?;
+        out.push_str(token);
+        Ok(())
     }
 
     /// Approximate serialized dictionary size: token bytes + one length
@@ -255,12 +260,11 @@ impl TextModel {
         let count = read_gamma0(&mut r)? as usize;
         let mut out = String::new();
         for i in 0..count {
-            let tok = if i % 2 == 0 {
-                self.words.decode(&mut r)?
+            if i % 2 == 0 {
+                self.words.decode_into(&mut r, &mut out)?;
             } else {
-                self.nonwords.decode(&mut r)?
-            };
-            out.push_str(&tok);
+                self.nonwords.decode_into(&mut r, &mut out)?;
+            }
         }
         Ok(out)
     }

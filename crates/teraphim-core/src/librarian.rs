@@ -265,6 +265,25 @@ impl Librarian {
         }
     }
 
+    /// A ranking, or the typed error that stopped it: a corrupt list
+    /// fails the request rather than answering with a partial ranking.
+    fn rank_response(
+        &self,
+        query_id: u32,
+        result: Result<Vec<teraphim_engine::ScoredDoc>, teraphim_engine::EngineError>,
+    ) -> Message {
+        match result {
+            Ok(hits) => Message::RankResponse {
+                query_id,
+                epoch: self.epoch,
+                entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
+            },
+            Err(e) => Message::Error {
+                message: format!("ranking failed: {e}"),
+            },
+        }
+    }
+
     fn handle_inner(&mut self, request: Message) -> Message {
         match request {
             Message::StatsRequest => {
@@ -296,14 +315,10 @@ impl Librarian {
                 let weighted = ranking::local_weights(index, &pairs);
                 self.last_scan = elapsed_micros(scan_started);
                 let rank_started = Instant::now();
-                let hits =
+                let result =
                     ranking::rank_with_scratch(index, &weighted, k as usize, &mut self.scratch);
                 self.last_rank = elapsed_micros(rank_started);
-                Message::RankResponse {
-                    query_id,
-                    epoch: self.epoch,
-                    entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
-                }
+                self.rank_response(query_id, result)
             }
             Message::RankWeightedRequest { query_id, k, terms } => {
                 // Central Vocabulary: the receptionist supplies global
@@ -311,17 +326,13 @@ impl Librarian {
                 // No local scan phase — the weighting already happened
                 // client-side.
                 let rank_started = Instant::now();
-                let hits = self.collection.ranked_query_weighted_scratch(
+                let result = self.collection.ranked_query_weighted_scratch(
                     &terms,
                     k as usize,
                     &mut self.scratch,
                 );
                 self.last_rank = elapsed_micros(rank_started);
-                Message::RankResponse {
-                    query_id,
-                    epoch: self.epoch,
-                    entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
-                }
+                self.rank_response(query_id, result)
             }
             Message::ScoreCandidatesRequest {
                 query_id,

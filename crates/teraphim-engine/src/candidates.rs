@@ -8,9 +8,9 @@
 //! mechanism the paper credits with cutting librarian CPU cost "by a
 //! factor of two or more" at small `k'`.
 
-use crate::ranking::{RankScratch, ScoredDoc, WeightedTerm};
+use crate::ranking::{RankScratch, ScoredDoc, WdtTable, WeightedTerm};
 use crate::EngineError;
-use teraphim_index::similarity::{query_norm, w_dt};
+use teraphim_index::similarity::query_norm;
 use teraphim_index::{DocId, InvertedIndex};
 
 /// Scores exactly `candidates` (any order, duplicates tolerated) against
@@ -71,6 +71,7 @@ pub fn score_candidates_with_norm_scratch(
     let sums = &mut scratch.sums;
     sums.clear();
     sums.resize(sorted.len(), 0.0);
+    let table = WdtTable::get();
     let mut decoded = 0u64;
     for wt in terms {
         if wt.w_qt == 0.0 {
@@ -80,7 +81,7 @@ pub fn score_candidates_with_norm_scratch(
         for (i, &doc) in sorted.iter().enumerate() {
             match cursor.seek(doc)? {
                 Some(p) if p.doc == doc => {
-                    sums[i] += wt.w_qt * w_dt(u64::from(p.f_dt));
+                    sums[i] += wt.w_qt * table.w_dt(p.f_dt);
                 }
                 Some(_) => {}
                 None => break,
@@ -137,6 +138,7 @@ pub fn score_candidates_full_scan_with_norm(
     sorted.dedup();
 
     let mut sums = vec![0.0f64; sorted.len()];
+    let table = WdtTable::get();
     let mut decoded = 0u64;
     for wt in terms {
         if wt.w_qt == 0.0 {
@@ -146,7 +148,7 @@ pub fn score_candidates_full_scan_with_norm(
             let posting = posting?;
             decoded += 1;
             if let Ok(i) = sorted.binary_search(&posting.doc) {
-                sums[i] += wt.w_qt * w_dt(u64::from(posting.f_dt));
+                sums[i] += wt.w_qt * table.w_dt(posting.f_dt);
             }
         }
     }

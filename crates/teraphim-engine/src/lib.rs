@@ -181,6 +181,10 @@ impl Collection {
     /// Evaluates a ranked query with *local* statistics, returning the
     /// top `k` documents (the mono-server / Central Nothing librarian
     /// operation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an inverted list is corrupt (see [`ranking::rank`]).
     pub fn ranked_query(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
         let terms = self.analyze_query(query);
         let weighted = ranking::local_weights(&self.index, &terms);
@@ -195,18 +199,29 @@ impl Collection {
     /// terms this collection has never seen — that is what makes scores
     /// from different librarians directly comparable (and identical to a
     /// mono-server evaluation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an inverted list is corrupt (see [`ranking::rank`]);
+    /// [`Collection::ranked_query_weighted_scratch`] reports it instead.
     pub fn ranked_query_weighted(&self, terms: &[(String, f64)], k: usize) -> Vec<ScoredDoc> {
         self.ranked_query_weighted_scratch(terms, k, &mut RankScratch::new())
+            .expect("inverted list is corrupt; the _scratch variant returns this error")
     }
 
     /// [`Collection::ranked_query_weighted`] reusing caller-owned scratch
     /// buffers — the hot path for a librarian answering a query stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Corrupt`] if an inverted list fails to
+    /// decode or names a document outside the collection.
     pub fn ranked_query_weighted_scratch(
         &self,
         terms: &[(String, f64)],
         k: usize,
         scratch: &mut RankScratch,
-    ) -> Vec<ScoredDoc> {
+    ) -> Result<Vec<ScoredDoc>, EngineError> {
         let qnorm = full_query_norm(terms);
         let weighted = self.resolve_weighted(terms);
         ranking::rank_with_norm_scratch(&self.index, &weighted, qnorm, k, scratch)

@@ -3,7 +3,16 @@
 //! For each query term the inverted list is decoded and each posting
 //! contributes `w_qt · w_dt` to the document's accumulator; final scores
 //! divide by the document weight `W_d` and the query norm, yielding the
-//! cosine measure of §2. The top `k` are selected with a bounded heap.
+//! cosine measure of §2. The top `k` are then selected.
+//!
+//! The kernel is exact. Accumulators are a dense array indexed by
+//! document id, so each document's sum is still built by adding its
+//! contributions in query-term order, starting from `0.0`; `w_dt` comes
+//! from a table that [`w_dt`] itself filled. Documents are then visited
+//! in first-touch order, but [`ScoredDoc::ranking_cmp`] is a total order
+//! over distinct documents, so the selected top `k` and its order do not
+//! depend on the visiting order. Scores are bit-identical to summing in
+//! a map and sorting everything.
 //!
 //! Query-term weights can come from two places:
 //!
@@ -14,9 +23,9 @@
 //!   subcollections produce *directly comparable* scores.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
+use crate::EngineError;
 use teraphim_index::similarity::{query_norm, w_dt, w_qt};
 use teraphim_index::{DocId, InvertedIndex, TermId};
 
@@ -58,18 +67,142 @@ impl ScoredDoc {
     }
 }
 
+/// In-document frequencies below this bound take `w_dt` from the table.
+const W_DT_TABLE_LEN: usize = 256;
+
+/// `w_dt = ln(f_dt + 1)` for small `f_dt`, looked up instead of
+/// computed. The table is filled by [`w_dt`] itself, so every entry is
+/// the exact value the function returns; larger frequencies call it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WdtTable(&'static [f64; W_DT_TABLE_LEN]);
+
+impl WdtTable {
+    /// The process-wide table, filled on first use.
+    pub(crate) fn get() -> WdtTable {
+        static TABLE: OnceLock<[f64; W_DT_TABLE_LEN]> = OnceLock::new();
+        WdtTable(TABLE.get_or_init(|| std::array::from_fn(|f| w_dt(f as u64))))
+    }
+
+    /// `w_dt(f_dt)`, bit for bit.
+    #[inline]
+    pub(crate) fn w_dt(self, f_dt: u32) -> f64 {
+        match self.0.get(f_dt as usize) {
+            Some(&w) => w,
+            None => w_dt(u64::from(f_dt)),
+        }
+    }
+}
+
+/// Dense per-document accumulators: `sums[d] = Σ w_qt · w_dt` for the
+/// documents in `touched`, which lists each touched document once, in
+/// first-touch order. Between queries every sum is `0.0` and every `seen`
+/// flag is false, so a query only pays for the documents it touches.
+#[derive(Debug, Default)]
+pub(crate) struct Accumulators {
+    sums: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<DocId>,
+    /// Documents in the current collection; postings beyond it are
+    /// corrupt.
+    num_docs: usize,
+}
+
+impl Accumulators {
+    /// Clears whatever an earlier (possibly failed) query left and sizes
+    /// the arrays for a collection of `num_docs` documents.
+    pub(crate) fn begin(&mut self, num_docs: usize) {
+        self.reset();
+        if self.sums.len() < num_docs {
+            self.sums.resize(num_docs, 0.0);
+            self.seen.resize(num_docs, false);
+        }
+        self.num_docs = num_docs;
+    }
+
+    fn reset(&mut self) {
+        for &doc in &self.touched {
+            self.sums[doc as usize] = 0.0;
+            self.seen[doc as usize] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// The accumulator of `doc`, created at `0.0` if the query had not
+    /// touched it yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Corrupt`] if `doc` is outside the
+    /// collection.
+    #[inline]
+    pub(crate) fn touch(&mut self, doc: DocId) -> Result<&mut f64, EngineError> {
+        let i = doc as usize;
+        if i >= self.num_docs {
+            return Err(EngineError::Corrupt(
+                "posting names a document outside the collection",
+            ));
+        }
+        if !self.seen[i] {
+            self.seen[i] = true;
+            self.touched.push(doc);
+        }
+        Ok(&mut self.sums[i])
+    }
+
+    /// The accumulator of `doc` if the query already touched it.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, doc: DocId) -> Option<&mut f64> {
+        let i = doc as usize;
+        (i < self.num_docs && self.seen[i]).then(|| &mut self.sums[i])
+    }
+
+    /// Number of documents touched so far.
+    pub(crate) fn len(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// Appends each touched document's cosine score (sum over `W_d` and
+    /// the query norm; documents with `W_d = 0`, and every document when
+    /// the norm is not positive, are left out) and resets the
+    /// accumulators for the next query.
+    pub(crate) fn score_into(
+        &mut self,
+        index: &InvertedIndex,
+        qnorm: f64,
+        out: &mut Vec<ScoredDoc>,
+    ) {
+        let weights = index.weights();
+        for &doc in &self.touched {
+            let wd = weights.weight(doc);
+            if wd > 0.0 && qnorm > 0.0 {
+                out.push(ScoredDoc {
+                    doc,
+                    score: self.sums[doc as usize] / (wd * qnorm),
+                });
+            }
+        }
+        self.reset();
+    }
+}
+
 /// Reusable working memory for repeated ranking calls.
 ///
-/// A librarian answers a stream of subqueries; allocating a fresh
-/// accumulator map (and, for Central Index candidate scoring, fresh
-/// candidate/sum buffers) per query churns the allocator on the hot
-/// path. One `RankScratch` owned by the librarian keeps the high-water
-/// capacity across queries. All entry points clear the buffers before
-/// use, so results never depend on what a previous query left behind.
+/// A librarian answers a stream of subqueries. One `RankScratch` owned by
+/// the librarian holds a dense accumulator array with one slot per
+/// document (plus a touched-document list, so clearing costs only what a
+/// query touched) and, for Central Index candidate scoring, the
+/// candidate and partial-sum buffers. The arrays grow with the
+/// collection and keep their capacity across queries. Every entry point
+/// clears what an earlier call left — including one that stopped at a
+/// corrupt list — so results never depend on previous queries, and one
+/// scratch can serve collections of different sizes.
 #[derive(Debug, Default)]
 pub struct RankScratch {
-    /// Accumulators: `doc → Σ w_qt · w_dt`.
-    pub(crate) acc: HashMap<DocId, f64>,
+    /// Dense accumulators for full-list ranking.
+    acc: Accumulators,
+    /// Scored documents before top-`k` selection; the answer is copied
+    /// out at its exact length.
+    scored: Vec<ScoredDoc>,
     /// Sorted candidate ids (Central Index scoring).
     pub(crate) candidates: Vec<DocId>,
     /// Per-candidate partial sums, parallel to `candidates`.
@@ -100,9 +233,14 @@ pub fn local_weights(index: &InvertedIndex, terms: &[(TermId, u32)]) -> Vec<Weig
 /// Evaluates the cosine measure over the whole collection and returns the
 /// top `k` documents in ranking order. The query norm is computed from
 /// the supplied terms.
+///
+/// # Panics
+///
+/// Panics if an inverted list is corrupt. Indexes built in this process
+/// never are; [`rank_with_scratch`] reports corruption as an error.
 pub fn rank(index: &InvertedIndex, terms: &[WeightedTerm], k: usize) -> Vec<ScoredDoc> {
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    rank_with_norm(index, terms, qnorm, k)
+    rank_with_scratch(index, terms, k, &mut RankScratch::new())
+        .expect("inverted list is corrupt; the _scratch variant returns this error")
 }
 
 /// [`rank`] with an explicit query norm.
@@ -112,6 +250,10 @@ pub fn rank(index: &InvertedIndex, terms: &[WeightedTerm], k: usize) -> Vec<Scor
 /// vocabulary — or librarians would normalize by different denominators
 /// and their scores would stop being comparable. The receptionist
 /// therefore computes the norm once, globally, and supplies it.
+///
+/// # Panics
+///
+/// Panics if an inverted list is corrupt (see [`rank`]).
 pub fn rank_with_norm(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
@@ -119,121 +261,77 @@ pub fn rank_with_norm(
     k: usize,
 ) -> Vec<ScoredDoc> {
     rank_with_norm_scratch(index, terms, qnorm, k, &mut RankScratch::new())
+        .expect("inverted list is corrupt; the _scratch variant returns this error")
 }
 
 /// [`rank`] reusing caller-owned scratch buffers across calls.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode
+/// or names a document outside the collection.
 pub fn rank_with_scratch(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
     k: usize,
     scratch: &mut RankScratch,
-) -> Vec<ScoredDoc> {
+) -> Result<Vec<ScoredDoc>, EngineError> {
     let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
     rank_with_norm_scratch(index, terms, qnorm, k, scratch)
 }
 
 /// [`rank_with_norm`] reusing caller-owned scratch buffers across calls.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode
+/// or names a document outside the collection.
 pub fn rank_with_norm_scratch(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
     qnorm: f64,
     k: usize,
     scratch: &mut RankScratch,
-) -> Vec<ScoredDoc> {
-    accumulate_into(index, terms, &mut scratch.acc);
-    top_k(normalize(index, &mut scratch.acc, qnorm), k)
+) -> Result<Vec<ScoredDoc>, EngineError> {
+    let table = WdtTable::get();
+    let acc = &mut scratch.acc;
+    acc.begin(index.weights().len());
+    for wt in terms {
+        if wt.w_qt == 0.0 {
+            continue;
+        }
+        for posting in index.postings(wt.term).iter() {
+            let posting = posting?;
+            *acc.touch(posting.doc)? += wt.w_qt * table.w_dt(posting.f_dt);
+        }
+    }
+    let scored = &mut scratch.scored;
+    scored.clear();
+    acc.score_into(index, qnorm, scored);
+    select_top(scored, k);
+    Ok(scored.clone())
 }
 
 /// Evaluates the cosine measure and returns *all* matching documents in
 /// ranking order (used when the caller needs the complete ranking, e.g.
 /// effectiveness evaluation at 1000 retrieved).
+///
+/// # Panics
+///
+/// Panics if an inverted list is corrupt (see [`rank`]).
 pub fn rank_all(index: &InvertedIndex, terms: &[WeightedTerm]) -> Vec<ScoredDoc> {
     rank(index, terms, usize::MAX)
 }
 
-/// Phase 1: decode lists and fill accumulators with `Σ w_qt · w_dt`.
-///
-/// The map is pre-sized to `min(Σ f_t, N)` — the number of distinct
-/// documents is bounded both by the sum of the query terms' document
-/// frequencies and by the collection size — so the table is built
-/// without rehashing even on first use.
-fn accumulate_into(index: &InvertedIndex, terms: &[WeightedTerm], acc: &mut HashMap<DocId, f64>) {
-    acc.clear();
-    let postings_bound: u64 = terms
-        .iter()
-        .filter(|wt| wt.w_qt != 0.0)
-        .map(|wt| index.stats().doc_freq(wt.term))
-        .sum();
-    let expected = postings_bound.min(index.stats().num_docs());
-    acc.reserve(usize::try_from(expected).unwrap_or(usize::MAX));
-    for wt in terms {
-        if wt.w_qt == 0.0 {
-            continue;
-        }
-        for posting in index.postings(wt.term).iter().flatten() {
-            *acc.entry(posting.doc).or_insert(0.0) += wt.w_qt * w_dt(u64::from(posting.f_dt));
-        }
+/// Keeps the best `k` of `scored`, in ranking order. Every document
+/// appears once, so `ranking_cmp` never ties and the result is the same
+/// whatever order `scored` arrived in.
+pub(crate) fn select_top(scored: &mut Vec<ScoredDoc>, k: usize) {
+    if scored.len() > k {
+        scored.select_nth_unstable_by(k, ScoredDoc::ranking_cmp);
+        scored.truncate(k);
     }
-}
-
-/// Phase 2: divide by `W_d` and the query norm. Drains the accumulator
-/// map in place so its capacity survives for the next query.
-fn normalize<'a>(
-    index: &'a InvertedIndex,
-    accumulators: &'a mut HashMap<DocId, f64>,
-    qnorm: f64,
-) -> impl Iterator<Item = ScoredDoc> + 'a {
-    accumulators.drain().filter_map(move |(doc, sum)| {
-        let wd = index.weights().weight(doc);
-        (wd > 0.0 && qnorm > 0.0).then(|| ScoredDoc {
-            doc,
-            score: sum / (wd * qnorm),
-        })
-    })
-}
-
-/// Selects the top `k` by bounded max-heap (on the inverted ordering), in
-/// final ranking order.
-fn top_k(scored: impl Iterator<Item = ScoredDoc>, k: usize) -> Vec<ScoredDoc> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Wrapper ordering the heap as a max-heap on "worst first".
-    struct Worst(ScoredDoc);
-    impl PartialEq for Worst {
-        fn eq(&self, other: &Self) -> bool {
-            self.0.ranking_cmp(&other.0) == Ordering::Equal
-        }
-    }
-    impl Eq for Worst {}
-    impl PartialOrd for Worst {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Worst {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // ranking_cmp orders best-first (Less = ranks better), so the
-            // max-heap's greatest element — what peek()/pop() return — is
-            // the worst-ranked entry, which is the one to evict.
-            self.0.ranking_cmp(&other.0)
-        }
-    }
-
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::new();
-    for s in scored {
-        if heap.len() < k {
-            heap.push(Worst(s));
-        } else if let Some(worst) = heap.peek() {
-            if s.ranking_cmp(&worst.0) == Ordering::Less {
-                heap.pop();
-                heap.push(Worst(s));
-            }
-        }
-    }
-    let mut result: Vec<ScoredDoc> = heap.into_iter().map(|w| w.0).collect();
-    result.sort_by(ScoredDoc::ranking_cmp);
-    result
+    scored.sort_unstable_by(ScoredDoc::ranking_cmp);
 }
 
 /// Merges several already-ranked lists into a single ranking of length at
@@ -432,7 +530,7 @@ mod tests {
             let terms: Vec<(TermId, u32)> = query.iter().map(|&(t, f)| (tid(&ix, t), f)).collect();
             let w = local_weights(&ix, &terms);
             let fresh = rank(&ix, &w, 10);
-            let reused = rank_with_scratch(&ix, &w, 10, &mut scratch);
+            let reused = rank_with_scratch(&ix, &w, 10, &mut scratch).unwrap();
             assert_eq!(fresh, reused);
         }
     }

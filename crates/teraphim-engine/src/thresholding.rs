@@ -17,11 +17,11 @@
 //! pruning of `teraphim_index::pruning` whose effectiveness the paper
 //! found "severely degraded".
 
-use crate::ranking::{ScoredDoc, WeightedTerm};
+use crate::ranking::{select_top, Accumulators, ScoredDoc, WdtTable, WeightedTerm};
+use crate::EngineError;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use teraphim_index::similarity::{query_norm, w_dt};
-use teraphim_index::{DocId, InvertedIndex};
+use teraphim_index::similarity::query_norm;
+use teraphim_index::InvertedIndex;
 
 /// What to do when the accumulator budget is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +49,18 @@ pub struct LimitedRanking {
 /// Terms are processed rarest-first; ties in final scores break by
 /// document id, as in unlimited ranking, so `max_accumulators = usize::MAX`
 /// reproduces `ranking::rank` exactly.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode
+/// or names a document outside the collection.
 pub fn rank_limited(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
     k: usize,
     max_accumulators: usize,
     mode: LimitMode,
-) -> LimitedRanking {
+) -> Result<LimitedRanking, EngineError> {
     // Rarest (highest-weight) terms first.
     let mut ordered: Vec<WeightedTerm> = terms.to_vec();
     ordered.sort_by(|a, b| {
@@ -65,7 +70,9 @@ pub fn rank_limited(
             .then(a.term.cmp(&b.term))
     });
 
-    let mut acc: HashMap<DocId, f64> = HashMap::new();
+    let table = WdtTable::get();
+    let mut acc = Accumulators::default();
+    acc.begin(index.weights().len());
     let mut postings_processed = 0u64;
     let mut full = false;
     'terms: for wt in &ordered {
@@ -75,21 +82,16 @@ pub fn rank_limited(
         if full && mode == LimitMode::Quit {
             break 'terms;
         }
-        for posting in index.postings(wt.term).iter().flatten() {
+        for posting in index.postings(wt.term).iter() {
+            let posting = posting?;
             postings_processed += 1;
-            let contribution = wt.w_qt * w_dt(u64::from(posting.f_dt));
-            let len = acc.len();
-            match acc.entry(posting.doc) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += contribution;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if len < max_accumulators {
-                        e.insert(contribution);
-                    }
-                    // else: continue mode drops the new document.
-                }
+            let contribution = wt.w_qt * table.w_dt(posting.f_dt);
+            if let Some(sum) = acc.get_mut(posting.doc) {
+                *sum += contribution;
+            } else if acc.len() < max_accumulators {
+                *acc.touch(posting.doc)? = contribution;
             }
+            // else: continue mode drops the new document.
             if acc.len() >= max_accumulators {
                 full = true;
             }
@@ -97,31 +99,23 @@ pub fn rank_limited(
     }
 
     let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    let mut hits: Vec<ScoredDoc> = acc
-        .into_iter()
-        .filter_map(|(doc, sum)| {
-            let wd = index.weights().weight(doc);
-            (wd > 0.0 && qnorm > 0.0).then(|| ScoredDoc {
-                doc,
-                score: sum / (wd * qnorm),
-            })
-        })
-        .collect();
-    hits.sort_by(ScoredDoc::ranking_cmp);
+    let mut hits = Vec::new();
+    acc.score_into(index, qnorm, &mut hits);
     let accumulators_used = hits.len();
-    hits.truncate(k);
-    LimitedRanking {
+    select_top(&mut hits, k);
+    Ok(LimitedRanking {
         hits,
         postings_processed,
         accumulators_used,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ranking::{local_weights, rank_all};
-    use teraphim_index::IndexBuilder;
+    use std::collections::HashMap;
+    use teraphim_index::{DocId, IndexBuilder};
 
     fn index_of(docs: &[&[&str]]) -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -151,7 +145,7 @@ mod tests {
         let exact = rank_all(&ix, &w);
         let exact_scores: HashMap<DocId, f64> = exact.iter().map(|h| (h.doc, h.score)).collect();
         for mode in [LimitMode::Continue, LimitMode::Quit] {
-            let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, mode);
+            let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, mode).unwrap();
             assert_eq!(limited.hits.len(), exact.len());
             for h in &limited.hits {
                 let expected = exact_scores[&h.doc];
@@ -170,7 +164,7 @@ mod tests {
         }
         let ix = b.build();
         let w = weights(&ix);
-        let limited = rank_limited(&ix, &w, 100, 7, LimitMode::Continue);
+        let limited = rank_limited(&ix, &w, 100, 7, LimitMode::Continue).unwrap();
         assert!(limited.accumulators_used <= 7);
     }
 
@@ -187,8 +181,8 @@ mod tests {
         }
         let ix = b.build();
         let w = weights(&ix);
-        let quit = rank_limited(&ix, &w, 10, 5, LimitMode::Quit);
-        let cont = rank_limited(&ix, &w, 10, 5, LimitMode::Continue);
+        let quit = rank_limited(&ix, &w, 10, 5, LimitMode::Quit).unwrap();
+        let cont = rank_limited(&ix, &w, 10, 5, LimitMode::Continue).unwrap();
         assert!(quit.postings_processed < cont.postings_processed);
     }
 
@@ -213,7 +207,7 @@ mod tests {
         }
         let ix = b.build();
         let w = weights(&ix);
-        let limited = rank_limited(&ix, &w, 10, 1, LimitMode::Continue);
+        let limited = rank_limited(&ix, &w, 10, 1, LimitMode::Continue).unwrap();
         assert_eq!(limited.hits.len(), 1);
         assert_eq!(limited.hits[0].doc, 9);
     }
@@ -238,7 +232,7 @@ mod tests {
         let ix = b.build();
         let w = weights(&ix);
         let exact = rank_all(&ix, &w);
-        let limited = rank_limited(&ix, &w, 3, 15, LimitMode::Continue);
+        let limited = rank_limited(&ix, &w, 3, 15, LimitMode::Continue).unwrap();
         // The top-3 of the exact ranking must survive a 15-accumulator
         // budget (rare "signal" term processed first).
         let exact_top: Vec<DocId> = exact.iter().take(3).map(|h| h.doc).collect();
@@ -249,7 +243,7 @@ mod tests {
     #[test]
     fn empty_query_is_empty() {
         let ix = index_of(&[&["a"]]);
-        let limited = rank_limited(&ix, &[], 5, 10, LimitMode::Continue);
+        let limited = rank_limited(&ix, &[], 5, 10, LimitMode::Continue).unwrap();
         assert!(limited.hits.is_empty());
         assert_eq!(limited.postings_processed, 0);
     }
@@ -260,7 +254,7 @@ mod proptests {
     use super::*;
     use crate::ranking::{local_weights, rank_all};
     use proptest::prelude::*;
-    use teraphim_index::IndexBuilder;
+    use teraphim_index::{DocId, IndexBuilder};
 
     proptest! {
         #[test]
@@ -279,7 +273,7 @@ mod proptests {
                 ix.vocab().iter().map(|(id, _)| (id, 1u32)).collect();
             let w = local_weights(&ix, &terms);
             let exact = rank_all(&ix, &w);
-            let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, LimitMode::Quit);
+            let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, LimitMode::Quit).unwrap();
             prop_assert_eq!(limited.hits.len(), exact.len());
             // Terms are processed in a different order (rarest first), so
             // floating-point sums — and hence near-tie orderings — can
@@ -309,7 +303,7 @@ mod proptests {
                 ix.vocab().iter().map(|(id, _)| (id, 1u32)).collect();
             let w = local_weights(&ix, &terms);
             for mode in [LimitMode::Continue, LimitMode::Quit] {
-                let limited = rank_limited(&ix, &w, 100, budget, mode);
+                let limited = rank_limited(&ix, &w, 100, budget, mode).unwrap();
                 prop_assert!(limited.accumulators_used <= budget);
             }
         }

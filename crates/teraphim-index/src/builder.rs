@@ -240,11 +240,17 @@ impl InvertedIndex {
 
     /// Builds skip tables for every list with the given interval,
     /// enabling [`InvertedIndex::skip_cursor`]. Idempotent per interval.
+    /// A list that fails to decode (an index read from corrupt bytes)
+    /// gets no sync points, so its cursors report the corruption when
+    /// they reach it.
     pub fn build_skips(&mut self, skip_every: u32) {
         let tables = self
             .postings
             .iter()
-            .map(|list| SkipTable::build(list, skip_every).expect("own lists are well-formed"))
+            .map(|list| {
+                SkipTable::build(list, skip_every)
+                    .unwrap_or_else(|_| SkipTable::without_skips(skip_every))
+            })
             .collect();
         self.skip_tables = Some(tables);
     }

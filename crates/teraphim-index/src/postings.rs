@@ -132,6 +132,10 @@ impl PostingsList {
 
 /// Decoding iterator over a [`PostingsList`]. Produced by
 /// [`PostingsList::iter`].
+///
+/// The iterator is fused at its first error: a corrupt stream yields one
+/// `Err` and then ends, instead of decoding whatever bits follow. Its
+/// size hint is exact for well-formed lists.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     reader: BitReader<'a>,
@@ -147,41 +151,37 @@ impl Iterator for Iter<'_> {
         if self.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
-        let gap = match read_gamma(&mut self.reader) {
-            Ok(g) => g,
-            Err(_) => return Some(Err(IndexError::Corrupt("postings gap"))),
-        };
-        let f_dt = match read_gamma(&mut self.reader) {
-            Ok(f) => f,
-            Err(_) => return Some(Err(IndexError::Corrupt("postings frequency"))),
-        };
-        let doc = if self.first {
-            self.first = false;
-            // First gap is doc+1 so that doc 0 is representable.
-            match gap.checked_sub(1).and_then(|d| u32::try_from(d).ok()) {
-                Some(d) => d,
-                None => return Some(Err(IndexError::Corrupt("first document id overflows"))),
-            }
-        } else {
-            match u64::from(self.prev_doc)
-                .checked_add(gap)
-                .and_then(|d| u32::try_from(d).ok())
-            {
-                Some(d) => d,
-                None => return Some(Err(IndexError::Corrupt("document id overflows"))),
-            }
-        };
-        self.prev_doc = doc;
-        let f_dt = match u32::try_from(f_dt) {
-            Ok(f) => f,
-            Err(_) => return Some(Err(IndexError::Corrupt("frequency overflows u32"))),
-        };
-        Some(Ok(Posting { doc, f_dt }))
+        let item = self.decode_next();
+        self.remaining = if item.is_ok() { self.remaining - 1 } else { 0 };
+        Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining as usize, Some(self.remaining as usize))
+    }
+}
+
+impl Iter<'_> {
+    fn decode_next(&mut self) -> Result<Posting, IndexError> {
+        let gap = read_gamma(&mut self.reader).map_err(|_| IndexError::Corrupt("postings gap"))?;
+        let f_dt =
+            read_gamma(&mut self.reader).map_err(|_| IndexError::Corrupt("postings frequency"))?;
+        let doc = if self.first {
+            self.first = false;
+            // First gap is doc+1 so that doc 0 is representable.
+            gap.checked_sub(1)
+                .and_then(|d| u32::try_from(d).ok())
+                .ok_or(IndexError::Corrupt("first document id overflows"))?
+        } else {
+            u64::from(self.prev_doc)
+                .checked_add(gap)
+                .and_then(|d| u32::try_from(d).ok())
+                .ok_or(IndexError::Corrupt("document id overflows"))?
+        };
+        self.prev_doc = doc;
+        let f_dt =
+            u32::try_from(f_dt).map_err(|_| IndexError::Corrupt("frequency overflows u32"))?;
+        Ok(Posting { doc, f_dt })
     }
 }
 
@@ -269,6 +269,14 @@ mod tests {
         let bytes = list.as_bytes();
         let truncated = PostingsList::from_raw_parts(bytes[..bytes.len() - 1].to_vec(), 3, 10_000);
         assert!(truncated.decode().is_err());
+        // The iterator stops at its first error rather than decoding on.
+        let items: Vec<_> = truncated.iter().collect();
+        assert!(items.last().unwrap().is_err());
+        assert_eq!(items.iter().filter(|i| i.is_err()).count(), 1);
+        let inflated = PostingsList::from_raw_parts(bytes.to_vec(), 1_000, 10_000);
+        let items: Vec<_> = inflated.iter().collect();
+        assert_eq!(items.len(), 4);
+        assert!(items[3].is_err());
     }
 
     #[test]

@@ -77,10 +77,23 @@ impl SkipTable {
                 first = false;
                 (gap - 1) as DocId
             } else {
-                prev_doc + gap as DocId
+                u64::from(prev_doc)
+                    .checked_add(gap)
+                    .and_then(|d| u32::try_from(d).ok())
+                    .ok_or(IndexError::Corrupt("document id overflows"))?
             };
         }
         Ok(SkipTable { skips, skip_every })
+    }
+
+    /// A table without sync points: its cursor decodes the list from the
+    /// start, so it still finds every posting before a corrupt one and
+    /// then reports the corruption.
+    pub(crate) fn without_skips(skip_every: u32) -> Self {
+        SkipTable {
+            skips: Vec::new(),
+            skip_every,
+        }
     }
 
     /// The interval between sync points, in postings.

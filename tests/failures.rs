@@ -10,6 +10,7 @@
 use std::time::{Duration, Instant};
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
+use teraphim::engine::Collection;
 use teraphim::net::{
     FaultPlan, FaultyService, FaultyTransport, InProcTransport, Message, NetError, RetryPolicy,
     RetryTransport, Service, Transport,
@@ -133,6 +134,79 @@ fn corrupt_index_bytes_fail_ci_setup() {
     let mut r = Receptionist::new(transports, Analyzer::default());
     let err = r.enable_ci(Default::default()).unwrap_err();
     assert!(format!("{err}").contains("index") || format!("{err}").contains("corrupt"));
+}
+
+/// A librarian whose index carries one garbled inverted list: the bytes
+/// of "mice" (in every document) are zeroed, so its first γ code never
+/// ends. Returns the librarian, a clean term and the garbled term.
+fn librarian_with_garbled_list() -> (Librarian, String, String) {
+    let clean = Collection::from_texts(
+        "G",
+        &[
+            ("G-1", "cats chase mice"),
+            ("G-2", "mice fear cats and owls"),
+            ("G-3", "owls hunt mice at night"),
+        ],
+    );
+    let analyzer = clean.analyzer();
+    let (cat, mice) = (
+        analyzer.analyze("cats").remove(0),
+        analyzer.analyze("mice").remove(0),
+    );
+    let index = clean.index();
+    let garbled = index.vocab().term_id(&mice).unwrap();
+    let list_len = index.postings(garbled).byte_len();
+    assert!(list_len > 0);
+    // Collection layout: name length, name, two analyzer flags, index
+    // length, index. The index ends with one (count, last_doc, byte_len)
+    // header plus bytes per term, in term-id order.
+    let mut bytes = clean.to_bytes();
+    let index_end = 4 + clean.name().len() + 2 + 8 + index.to_bytes().len();
+    let tail: usize = (garbled..index.vocab().len() as u32)
+        .map(|t| 12 + index.postings(t).byte_len())
+        .sum();
+    let list_at = index_end - tail + 12;
+    bytes[list_at..list_at + list_len].fill(0);
+    let collection = Collection::from_bytes(&bytes).unwrap();
+    assert!(collection.index().postings(garbled).decode().is_err());
+    (Librarian::from_collection(collection), cat, mice)
+}
+
+#[test]
+fn garbled_list_fails_ranking_with_a_typed_error() {
+    let (mut lib, cat, term) = librarian_with_garbled_list();
+    let requests = [
+        Message::RankRequest {
+            query_id: 1,
+            k: 10,
+            terms: vec![(cat.clone(), 1), (term.clone(), 1)],
+        },
+        Message::RankWeightedRequest {
+            query_id: 2,
+            k: 10,
+            terms: vec![(cat.clone(), 1.0), (term.clone(), 2.0)],
+        },
+        Message::ScoreCandidatesRequest {
+            query_id: 3,
+            terms: vec![(cat.clone(), 1.0), (term.clone(), 2.0)],
+            candidates: vec![0, 1, 2],
+        },
+    ];
+    for request in requests {
+        match lib.handle(request.clone()) {
+            Message::Error { message } => assert!(message.contains("corrupt"), "{message}"),
+            other => panic!("{request:?} answered {other:?}, not a typed error"),
+        }
+    }
+    // Queries that never touch the garbled list still rank.
+    match lib.handle(Message::RankRequest {
+        query_id: 4,
+        k: 10,
+        terms: vec![(cat, 1)],
+    }) {
+        Message::RankResponse { entries, .. } => assert_eq!(entries.len(), 2),
+        other => panic!("clean query answered {other:?}"),
+    }
 }
 
 #[test]
